@@ -15,12 +15,9 @@
 from repro.core.budget import Budget, BudgetExhausted, WallClockBudget
 from repro.core.moves import Move, MoveSet, NoValidMove
 from repro.core.state import (
-    BatchEvaluator,
     DeltaEvaluator,
     Evaluation,
     Evaluator,
-    PER_JOIN,
-    PER_PLAN,
     TargetReached,
 )
 from repro.core.augmentation import AugmentationCriterion
@@ -39,9 +36,6 @@ __all__ = [
     "Evaluation",
     "Evaluator",
     "DeltaEvaluator",
-    "BatchEvaluator",
-    "PER_PLAN",
-    "PER_JOIN",
     "AugmentationCriterion",
     "DPResult",
     "dp_optimal_order",

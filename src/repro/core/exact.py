@@ -713,7 +713,10 @@ def _contracted_graph(
         crossing[key] = crossing.get(key, 1.0) * predicate.selectivity
     predicates = []
     for (a, b) in sorted(crossing):
-        distinct = max(1.0, 1.0 / crossing[(a, b)])
+        selectivity = crossing[(a, b)]
+        # A long product of crossing selectivities can underflow to 0.0
+        # at large N; clamp its distinct count like the cluster sizes.
+        distinct = 1e15 if selectivity == 0.0 else max(1.0, 1.0 / selectivity)
         predicates.append(JoinPredicate(a, b, distinct, distinct))
     return JoinGraph(relations, predicates, validate=False)
 

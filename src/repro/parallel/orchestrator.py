@@ -60,7 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
 from repro.catalog.join_graph import JoinGraph, Query
 from repro.core.budget import Budget, BudgetExhausted, DEFAULT_UNITS_PER_N2
 from repro.core.combinations import MethodParams, Strategy
-from repro.core.state import PER_PLAN
 from repro.cost.base import CostModel, CostOverflowError
 from repro.obs import events as obs_events
 from repro.obs.events import TraceEvent
@@ -118,8 +117,6 @@ class OptimizeJob:
     units_per_n2: float = DEFAULT_UNITS_PER_N2
     params: MethodParams | None = None
     incremental: bool = True
-    batch_costing: bool = False
-    budget_accounting: str = PER_PLAN
     record_floor: float | None = None
     stop_at_bound: bool = False
     bound_tolerance: float = 1.05
@@ -168,8 +165,6 @@ def run_job(job: OptimizeJob) -> JobOutcome:
             stop_at_bound=job.stop_at_bound,
             bound_tolerance=job.bound_tolerance,
             incremental=job.incremental,
-            batch_costing=job.batch_costing,
-            budget_accounting=job.budget_accounting,
             record_floor=job.record_floor,
             trace=tracer,
         )
@@ -277,8 +272,6 @@ def multi_start_optimize(
     restarts: int | None = None,
     workers: int | None = None,
     incremental: bool = True,
-    batch_costing: bool = False,
-    budget_accounting: str = PER_PLAN,
     stop_at_bound: bool = False,
     bound_tolerance: float = 1.05,
     crash_indices: tuple[int, ...] = (),
@@ -377,8 +370,6 @@ def multi_start_optimize(
             units_per_n2=units_per_n2,
             params=params,
             incremental=incremental,
-            batch_costing=batch_costing,
-            budget_accounting=budget_accounting,
             record_floor=floor,
             stop_at_bound=stop_at_bound,
             bound_tolerance=bound_tolerance,

@@ -66,7 +66,7 @@ class TestOptimizeCommand:
 
 
 class TestEvaluationFlags:
-    """--no-incremental / --budget-accounting (see docs/performance.md)."""
+    """--no-incremental (see docs/performance.md)."""
 
     BASE = ["optimize", "--joins", "10", "--time-factor", "1", "--seed", "3"]
 
@@ -76,15 +76,6 @@ class TestEvaluationFlags:
         assert main(self.BASE + ["--no-incremental"]) == 0
         reference = capsys.readouterr().out
         assert default == reference
-
-    def test_per_join_accounting_runs(self, capsys):
-        code = main(self.BASE + ["--budget-accounting", "per-join"])
-        assert code == 0
-        assert "plan cost" in capsys.readouterr().out
-
-    def test_unknown_accounting_rejected(self):
-        with pytest.raises(SystemExit):
-            main(self.BASE + ["--budget-accounting", "per-query"])
 
     def test_compare_accepts_flags(self, capsys):
         code = main(
@@ -96,8 +87,7 @@ class TestEvaluationFlags:
                 "1",
                 "--methods",
                 "II",
-                "--budget-accounting",
-                "per-join",
+                "--no-incremental",
             ]
         )
         assert code == 0

@@ -49,8 +49,9 @@ from repro.cost.static import StaticCostModel
 from repro.obs import RecordingTracer
 from repro.plans.join_order import JoinOrder
 from repro.plans.validity import first_invalid_position, valid_orders
+from repro.robustness.verify import verify_plan
 from repro.utils.rng import derive_rng
-from repro.workloads import DEFAULT_SPEC, generate_query
+from repro.workloads import DEFAULT_SPEC, benchmark_spec, generate_query
 from tests.conftest import (
     chain_graph,
     cycle_graph,
@@ -526,3 +527,15 @@ def test_hybrid_beats_or_matches_greedy_quality():
     # Not a strict dominance claim — but within 2x of II means the
     # skeleton expansion + polish is doing real work.
     assert result.cost <= 2.0 * ii.cost
+
+
+def test_hybrid_survives_underflowing_crossing_selectivity():
+    """Products of many crossing selectivities can underflow to 0.0.
+
+    At N=400 the contracted skeleton once divided by that zero; the
+    distinct count is now clamped and the run returns a verified plan.
+    """
+    query = generate_query(benchmark_spec(1), 400, seed=7)
+    model = MainMemoryCostModel()
+    result = optimize(query, method="EXACT", model=model, time_factor=0.01)
+    assert verify_plan(result.order, result.cost, query.graph, model).ok

@@ -7,13 +7,19 @@ that bound-pruned aborts can never flip an accept/reject decision.  Both
 promises are exercised here over random graphs x random move sequences,
 for both cost models, plus end-to-end: II and SA runs must produce
 bitwise-identical orders, costs, budgets, and trajectories whether they
-run on the reference :class:`Evaluator` or the :class:`DeltaEvaluator`
-in budget-compatibility mode.
+run on the reference :class:`Evaluator` or the :class:`DeltaEvaluator`.
+The adversarial catalogs at the end (huge, infinite and NaN
+cardinalities, cross products, overflowing totals) pin what
+``plan_cost`` itself does there and hold the engine's full walks to the
+same values and the same :class:`CostOverflowError`.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -22,7 +28,11 @@ from repro.core.combinations import MethodParams
 from repro.core.iterative import improvement_run
 from repro.core.moves import MoveSet
 from repro.core.optimizer import optimize
-from repro.core.state import DeltaEvaluator, Evaluator, PER_JOIN, PER_PLAN
+from repro.catalog.join_graph import JoinGraph
+from repro.catalog.predicates import JoinPredicate
+from repro.catalog.relation import Relation
+from repro.core.state import DeltaEvaluator, Evaluator
+from repro.cost.cardinality import CostOverflowError
 from repro.cost.disk import DiskCostModel
 from repro.cost.incremental import (
     IncrementalEvaluator,
@@ -31,6 +41,7 @@ from repro.cost.incremental import (
 )
 from repro.cost.memory import MainMemoryCostModel
 from repro.cost.static import StaticCostModel
+from repro.plans.join_order import JoinOrder
 from repro.plans.validity import random_valid_order
 from repro.workloads.benchmarks import DEFAULT_SPEC
 from repro.workloads.generator import generate_query
@@ -198,9 +209,15 @@ def _run_ii(evaluator, graph, seed):
 
 
 class TestEndToEndEquivalence:
-    """II/SA on DeltaEvaluator (compat mode) == reference Evaluator."""
+    """II/SA on DeltaEvaluator == reference Evaluator."""
 
-    @pytest.mark.parametrize("method", ("II", "SA", "IAI", "WALK"))
+    @pytest.mark.parametrize(
+        "method",
+        (
+            "II", "SA", "IAI", "WALK", "SAA", "SAK", "IKI", "IAL", "AGI",
+            "KBI", "2PO", "RANDOM",
+        ),
+    )
     @pytest.mark.parametrize("n_joins", (8, 15))
     def test_optimize_bitwise_identical_orders(self, method, n_joins):
         graph = generate_query(
@@ -210,9 +227,7 @@ class TestEndToEndEquivalence:
             method=method, seed=13, time_factor=2.0, units_per_n2=10.0
         )
         reference = optimize(graph, incremental=False, **kwargs)
-        delta = optimize(
-            graph, incremental=True, budget_accounting=PER_PLAN, **kwargs
-        )
+        delta = optimize(graph, incremental=True, **kwargs)
         assert delta.order == reference.order
         assert delta.cost == reference.cost
         assert delta.units_spent == reference.units_spent
@@ -267,53 +282,38 @@ class TestBudgetAccounting:
         model = MainMemoryCostModel()
         budget_a, budget_b = Budget(limit=4000.0), Budget(limit=4000.0)
         _run_ii(Evaluator(graph, model, budget_a), graph, seed=1)
-        _run_ii(
-            DeltaEvaluator(graph, model, budget_b, charge_mode=PER_PLAN),
-            graph,
-            seed=1,
-        )
+        _run_ii(DeltaEvaluator(graph, model, budget_b), graph, seed=1)
         assert budget_a.spent == budget_b.spent
 
-    def test_per_join_charges_only_walked_joins(self):
+    def test_reference_bound_emulation_matches_delta_pruning(self):
+        """Both evaluators answer ``None`` for the same bounded candidates.
+
+        The reference evaluator prices the full plan and applies the
+        clamped bound afterwards; the delta engine aborts its walk.  Skip
+        decisions keyed on ``None`` (a start above ``record_floor``) must
+        therefore agree, as must the costs of the unpruned candidates.
+        """
         graph = generate_query(DEFAULT_SPEC, n_joins=9, seed=5).graph
         model = MainMemoryCostModel()
-        per_plan = Budget(limit=4000.0)
-        per_join = Budget(limit=4000.0)
-        _run_ii(
-            DeltaEvaluator(graph, model, per_plan, charge_mode=PER_PLAN),
-            graph,
-            seed=1,
+        reference = Evaluator(graph, model, Budget.unlimited())
+        delta = DeltaEvaluator(graph, model, Budget.unlimited())
+        rng = random.Random(3)
+        first = random_valid_order(graph, rng)
+        # Nothing recorded yet: no evaluator may prune.
+        assert reference.evaluate_candidate(first, upper_bound=0.0) == (
+            delta.evaluate_candidate(first, upper_bound=0.0)
         )
-        delta = DeltaEvaluator(graph, model, per_join, charge_mode=PER_JOIN)
-        _run_ii(delta, graph, seed=1)
-        # Identical walk (same rng, same decisions), but per-join pays
-        # only for suffix walks — strictly cheaper on any non-trivial run.
-        assert per_join.spent < per_plan.spent
-        assert per_join.spent >= delta.n_evaluations  # >= 1 unit each
-
-    def test_per_join_buys_more_evaluations(self):
-        graph = generate_query(DEFAULT_SPEC, n_joins=15, seed=8).graph
-        model = MainMemoryCostModel()
-        limit = 40.0 * graph.n_joins
-        compat = DeltaEvaluator(
-            graph, model, Budget(limit=limit), charge_mode=PER_PLAN
-        )
-        _run_ii(compat, graph, seed=6)
-        per_join = DeltaEvaluator(
-            graph, model, Budget(limit=limit), charge_mode=PER_JOIN
-        )
-        _run_ii(per_join, graph, seed=6)
-        assert per_join.n_evaluations >= compat.n_evaluations
-
-    def test_unknown_charge_mode_rejected(self):
-        graph = chain_graph()
-        with pytest.raises(ValueError, match="charge_mode"):
-            DeltaEvaluator(
-                graph,
-                MainMemoryCostModel(),
-                Budget.unlimited(),
-                charge_mode="per-century",
-            )
+        outcomes = set()
+        for _ in range(200):
+            order = random_valid_order(graph, rng)
+            bound = reference.best.cost * rng.choice((1.0, 2.0, 50.0))
+            expected = reference.evaluate_candidate(order, upper_bound=bound)
+            actual = delta.evaluate_candidate(order, upper_bound=bound)
+            assert actual == expected
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
+        assert reference.best == delta.best
+        assert reference.trajectory == delta.trajectory
 
 
 class TestResilientPathStaysOnOracle:
@@ -347,3 +347,111 @@ class TestResilientPathStaysOnOracle:
         )
         report = verify_plan(order, engine_cost, graph, model)
         assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# Adversarial catalogs: plan_cost's own overflow and clamp behaviour, with
+# the engine's full walk held to the same results.
+
+
+def _corrupt(graph: JoinGraph, index: int, cardinality: float) -> JoinGraph:
+    """A copy of ``graph`` with one relation's base cardinality poisoned."""
+    relations = list(graph.relations)
+    bad = copy.copy(relations[index])
+    object.__setattr__(bad, "base_cardinality", cardinality)
+    relations[index] = bad
+    return JoinGraph(relations, list(graph.predicates), validate=False)
+
+
+def _huge_graph() -> JoinGraph:
+    """Cardinalities big enough to trip the clamp and the inf product."""
+    relations = [
+        Relation("a", 10.0**200),
+        Relation("b", 10.0**160),
+        Relation("c", 1000.0),
+        Relation("d", 10.0**120),
+    ]
+    predicates = [
+        JoinPredicate(0, 1, 10.0**50, 10.0**40),
+        JoinPredicate(1, 2, 100.0, 50.0),
+        JoinPredicate(2, 3, 10.0, 10.0**60),
+    ]
+    return JoinGraph(relations, predicates)
+
+
+def _cross_product_graph() -> JoinGraph:
+    """Sparse predicates: most orders hit cross-product (selectivity 1)."""
+    relations = [Relation(f"r{i}", float(50 + 13 * i)) for i in range(5)]
+    predicates = [JoinPredicate(0, 1, 7.0, 5.0), JoinPredicate(3, 4, 9.0, 4.0)]
+    return JoinGraph(relations, predicates, validate=False)
+
+
+def _all_orders(graph: JoinGraph) -> list[JoinOrder]:
+    """Every permutation, valid or not: plan_cost prices cross products."""
+    return [JoinOrder(perm) for perm in permutations(range(graph.n_relations))]
+
+
+def _oracle(graph, model, order):
+    """``(cost, overflowed)`` from ``plan_cost``."""
+    try:
+        return model.plan_cost(order, graph), False
+    except CostOverflowError:
+        return math.inf, True
+
+
+def _assert_engine_matches_oracle(graph, model):
+    """Full engine walks equal plan_cost bitwise, overflow included.
+
+    Returns how many orders overflowed, so callers can assert the
+    adversarial shape actually reached the overflow path.
+    """
+    engine = IncrementalEvaluator(graph, model)
+    overflowed = 0
+    for order in _all_orders(graph):
+        expected, overflow = _oracle(graph, model, order)
+        if overflow:
+            overflowed += 1
+            with pytest.raises(CostOverflowError):
+                engine.rebase(order.positions)
+        else:
+            cost, _ = engine.rebase(order.positions)
+            assert cost == expected, (
+                f"{order}: engine {cost!r} != plan_cost {expected!r}"
+            )
+    return overflowed
+
+
+class TestAdversarialCatalogs:
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_huge_cardinalities_clamp(self, model):
+        _assert_engine_matches_oracle(_huge_graph(), model)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_cross_product_steps(self, model):
+        _assert_engine_matches_oracle(_cross_product_graph(), model)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_inf_cardinality_overflows(self, model):
+        # inf survives Relation.cardinality's ``max(1.0, ...)`` clamp, so
+        # plan_cost must raise rather than return a poisoned float.
+        graph = _corrupt(chain_graph(), 1, math.inf)
+        assert _assert_engine_matches_oracle(graph, model) > 0
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_nan_cardinality_is_clamped(self, model):
+        # NaN is swallowed by that clamp (``max(1.0, nan) == 1.0``):
+        # every order prices to a finite cost and nothing overflows.
+        graph = _corrupt(chain_graph(), 1, math.nan)
+        assert graph.cardinality(1) == 1.0
+        assert _assert_engine_matches_oracle(graph, model) == 0
+        for order in _all_orders(graph):
+            assert math.isfinite(model.plan_cost(order, graph))
+
+    def test_nonfinite_total_raises_overflow(self):
+        # Per-join costs finite, total overflows: plan_cost's closing
+        # check raises instead of returning inf.
+        graph = _corrupt(
+            _corrupt(chain_graph(), 0, 10.0**140), 2, 10.0**140
+        )
+        model = MainMemoryCostModel(build_cost=1e300, output_cost=1e300)
+        assert _assert_engine_matches_oracle(graph, model) > 0
